@@ -10,8 +10,10 @@ vet:
 build:
 	$(GO) build ./...
 
+# The timeout makes a hung test fail fast instead of after the 10-minute
+# default.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 3m ./...
 
 # Race-check the packages with concurrent hot paths: the iShare network
 # layer, the parallel testbed runner, the contention harness (whose

@@ -1,7 +1,8 @@
 // Command ishared runs the iShare-like FGCS system: a resource registry, a
 // node agent publishing a simulated machine, or a self-contained demo that
 // wires a registry, three nodes and a client together and walks through
-// discovery, submission, contention and revocation.
+// discovery, submission, contention and revocation. A single registry is
+// a one-shard ring: nodes and clients address it as the only shard.
 //
 // Usage:
 //
@@ -77,7 +78,7 @@ func main() {
 	var (
 		mode        = flag.String("mode", "demo", "mode: registry, node, demo")
 		addr        = flag.String("addr", "127.0.0.1:0", "listen address")
-		registry    = flag.String("registry", "", "registry address (node mode)")
+		registry    = flag.String("registry", "", "registry address, the only shard of a one-shard ring (node mode)")
 		name        = flag.String("name", "node-1", "node name (node mode)")
 		load        = flag.Float64("load", 0.1, "initial synthetic host load (node mode)")
 		ttl         = flag.Duration("ttl", 2*time.Second, "registry heartbeat TTL")
@@ -150,14 +151,17 @@ func runRegistry(addr string, ttl time.Duration, lim ishare.Limits, walDir strin
 }
 
 func runNode(addr, registry, name string, load float64, lim ishare.Limits, o *observability) {
-	node, err := ishare.NewNode(addr, ishare.NodeConfig{
-		Name:         name,
-		RegistryAddr: registry,
-		HostLoad:     load,
-		Limits:       lim,
-		Metrics:      o.reg,
-		Logger:       o.logger,
-	})
+	cfg := ishare.NodeConfig{
+		Name:     name,
+		HostLoad: load,
+		Limits:   lim,
+		Metrics:  o.reg,
+		Logger:   o.logger,
+	}
+	if registry != "" {
+		cfg.RegistryAddrs = []string{registry}
+	}
+	node, err := ishare.NewNode(addr, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -179,11 +183,11 @@ func runDemo(ttl time.Duration, o *observability) {
 	var nodes []*ishare.Node
 	for i, load := range loads {
 		n, err := ishare.NewNode("127.0.0.1:0", ishare.NodeConfig{
-			Name:         fmt.Sprintf("lab-%d", i+1),
-			RegistryAddr: reg.Addr(),
-			HostLoad:     load,
-			Metrics:      o.reg,
-			Logger:       o.logger,
+			Name:          fmt.Sprintf("lab-%d", i+1),
+			RegistryAddrs: []string{reg.Addr()},
+			HostLoad:      load,
+			Metrics:       o.reg,
+			Logger:        o.logger,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -193,7 +197,7 @@ func runDemo(ttl time.Duration, o *observability) {
 		fmt.Printf("node lab-%d up at %s (host load %.2f)\n", i+1, n.Addr(), load)
 	}
 
-	client := &ishare.Client{RegistryAddr: reg.Addr()}
+	client := &ishare.Client{Shards: []string{reg.Addr()}}
 	published, err := client.List(ctx)
 	if err != nil {
 		log.Fatal(err)

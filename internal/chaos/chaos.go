@@ -8,6 +8,8 @@
 //     (the service is gone);
 //   - dial and read latency — a host too loaded to answer promptly
 //     (the S2→S3/UEC boundary);
+//   - blackholed dials — a peer whose packets vanish, so connecting costs
+//     the full dial timeout whatever the host's routing table says;
 //   - mid-stream drops — a service that dies while replying (URR mid-job);
 //   - corrupted responses — a peer whose answers cannot be trusted.
 //
@@ -48,6 +50,10 @@ type Fault struct {
 	// DialLatency delays the dial before it proceeds; a delay at or above
 	// the dial timeout fails the dial with a timeout error.
 	DialLatency time.Duration
+	// Blackhole makes matching dials block until their timeout and then
+	// fail, as a dial to an address whose packets are silently dropped
+	// does.
+	Blackhole bool
 	// ReadLatency delays the first read on the connection.
 	ReadLatency time.Duration
 	// DropAfterBytes closes the connection after that many response bytes
@@ -77,6 +83,8 @@ type Counters struct {
 	Refused int64
 	// Delayed counts injected dial or read delays.
 	Delayed int64
+	// Blackholed counts dials that blocked until their timeout.
+	Blackholed int64
 	// Dropped counts connections closed mid-stream.
 	Dropped int64
 	// Corrupted counts responses with a flipped byte.
@@ -90,7 +98,7 @@ type Injector struct {
 	rng    *rand.Rand
 	faults []*faultState
 
-	dials, refused, delayed, dropped, corrupted atomic.Int64
+	dials, refused, delayed, blackholed, dropped, corrupted atomic.Int64
 }
 
 type faultState struct {
@@ -138,11 +146,12 @@ func (in *Injector) Heal(addr string) {
 // Counters returns a snapshot of the injected-fault counts.
 func (in *Injector) Counters() Counters {
 	return Counters{
-		Dials:     in.dials.Load(),
-		Refused:   in.refused.Load(),
-		Delayed:   in.delayed.Load(),
-		Dropped:   in.dropped.Load(),
-		Corrupted: in.corrupted.Load(),
+		Dials:      in.dials.Load(),
+		Refused:    in.refused.Load(),
+		Delayed:    in.delayed.Load(),
+		Blackholed: in.blackholed.Load(),
+		Dropped:    in.dropped.Load(),
+		Corrupted:  in.corrupted.Load(),
 	}
 }
 
@@ -150,6 +159,7 @@ func (in *Injector) Counters() Counters {
 // dial time so the rng is consumed in a single critical section.
 type connPlan struct {
 	refuse    bool
+	blackhole bool
 	dialDelay time.Duration
 	readDelay time.Duration
 	dropAfter int // -1 = never
@@ -174,6 +184,10 @@ func (in *Injector) plan(addr string) connPlan {
 		fired := false
 		if fs.f.Refuse || (fs.f.RefuseProb > 0 && in.rng.Float64() < fs.f.RefuseProb) {
 			p.refuse = true
+			fired = true
+		}
+		if fs.f.Blackhole {
+			p.blackhole = true
 			fired = true
 		}
 		if fs.f.DialLatency > 0 {
@@ -208,6 +222,11 @@ func (in *Injector) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if p.refuse {
 		in.refused.Add(1)
 		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: ErrRefused}
+	}
+	if p.blackhole {
+		in.blackholed.Add(1)
+		time.Sleep(timeout)
+		return nil, fmt.Errorf("chaos: dial to %s timed out after %v (blackholed)", addr, timeout)
 	}
 	if p.dialDelay > 0 {
 		in.delayed.Add(1)

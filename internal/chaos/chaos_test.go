@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -36,9 +37,9 @@ func startNode(t *testing.T, cfg ishare.NodeConfig) *ishare.Node {
 
 func fastClient(registryAddr string, d ishare.Dialer) *ishare.Client {
 	return &ishare.Client{
-		RegistryAddr: registryAddr,
-		Timeout:      time.Second,
-		Dialer:       d,
+		Shards:  []string{registryAddr},
+		Timeout: time.Second,
+		Dialer:  d,
 		Retry: ishare.RetryPolicy{
 			MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1,
 		},
@@ -47,7 +48,7 @@ func fastClient(registryAddr string, d ishare.Dialer) *ishare.Client {
 
 func TestPartitionAndHeal(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 
 	inj := New(1)
 	c := fastClient(reg.Addr(), inj)
@@ -131,12 +132,12 @@ func TestMidStreamDropTriggersDedupSafeRetry(t *testing.T) {
 	// the node already ran the job. The broker's same-node retry must
 	// recover the cached result instead of running the job again.
 	reg := startRegistry(t, time.Minute)
-	node := startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	node := startNode(t, ishare.NodeConfig{Name: "n1", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 
 	inj := New(1)
-	// Skip the broker's Info exchange with the node; drop the response to
-	// the next connection — the submission itself.
-	inj.Add(Fault{Name: "drop-submit", Addr: node.Addr(), DropAfterBytes: 8, Times: 1, Skip: 1})
+	// Drop the response to the first connection to the node — the
+	// submission itself.
+	inj.Add(Fault{Name: "drop-submit", Addr: node.Addr(), DropAfterBytes: 8, Times: 1})
 	b := &ishare.Broker{Client: fastClient(reg.Addr(), inj)}
 
 	res, onNode, err := b.SubmitBest(ctx, ishare.JobSpec{Name: "dropped", ID: "drop-1", CPUSeconds: 90, RSSMB: 32})
@@ -160,6 +161,44 @@ func TestMidStreamDropTriggersDedupSafeRetry(t *testing.T) {
 	}
 	if m := b.Metrics(); m.SameNodeRetries == 0 {
 		t.Errorf("metrics = %+v, want a same-node retry", m)
+	}
+}
+
+// TestBlackholedTopCandidateCostsOneDialTimeout: the best-ranked node's
+// address swallows every packet. The placement must fail over after one
+// connect timeout (Client.Timeout), not the submission's exchange budget
+// (SubmitTimeout), and within CacheTTL the broker must not dial that
+// address again.
+func TestBlackholedTopCandidateCostsOneDialTimeout(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	// Both nodes report S1 at zero load, so names decide the ranking.
+	hole := startNode(t, ishare.NodeConfig{Name: "a-hole", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
+	startNode(t, ishare.NodeConfig{Name: "b-live", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
+
+	inj := New(1)
+	inj.Add(Fault{Name: "blackhole", Addr: hole.Addr(), Blackhole: true})
+	c := fastClient(reg.Addr(), inj)
+	c.Timeout = 300 * time.Millisecond
+	c.SubmitTimeout = 20 * time.Second
+	broker := &ishare.Broker{Client: c, CacheTTL: time.Minute}
+
+	for i := 0; i < 2; i++ {
+		id := fmt.Sprintf("bh-%d", i)
+		start := time.Now()
+		res, onNode, err := broker.SubmitBest(ctx, ishare.JobSpec{Name: id, ID: id, CPUSeconds: 30})
+		elapsed := time.Since(start)
+		if err != nil || !res.Completed || onNode.Name != "b-live" {
+			t.Fatalf("job %s: placed on %q (%+v), err %v; want completed on b-live", id, onNode.Name, res, err)
+		}
+		if elapsed > 3*c.Timeout {
+			t.Errorf("job %s took %v, want about one %v dial timeout at most", id, elapsed, c.Timeout)
+		}
+		if got := inj.Counters().Blackholed; got != 1 {
+			t.Errorf("after job %s: %d blackholed dials, want exactly 1", id, got)
+		}
+	}
+	if m := broker.Metrics(); m.DialFailures != 1 || m.SameNodeRetries != 0 {
+		t.Errorf("metrics = %+v, want one dial failure and no same-node retry", m)
 	}
 }
 

@@ -13,37 +13,37 @@ import (
 )
 
 // Broker is the client-side placement component: it discovers published
-// resources, queries their availability states, and submits guest jobs to
-// the most available one (S1 before S2; failure states and dead nodes are
-// never used). It realizes, at the systems level, the same decision the
-// gsched policies make over traces — and, because FGCS resources fail by
-// design, it also owns recovery: failover to the next candidate when a
-// submission dies, resubmission of killed jobs from their last virtual
-// checkpoint, and placement from last-known-good node lists when
-// registries are unreachable.
+// resources ranked by the availability digests their heartbeats carry, and
+// submits guest jobs to the most available one (S1 before S2; failure
+// states and dead nodes are never used). It realizes, at the systems
+// level, the same decision the gsched policies make over traces — and,
+// because FGCS resources fail by design, it also owns recovery: failover
+// to the next candidate when a submission dies, resubmission of killed
+// jobs from their last virtual checkpoint, and placement from
+// last-known-good node lists when registries are unreachable.
 //
-// Against a sharded control plane the broker fans discovery out to every
-// shard (bounded by DiscoverConcurrency), keeps one stale-fallback cache
-// per shard so losing a shard degrades only that shard's slice of the
-// fleet, and merges the per-shard lists into one ranked candidate list.
+// The broker fans discovery out to every registry shard (bounded by
+// DiscoverConcurrency; a single registry is a one-shard ring), keeps one
+// stale-fallback cache per shard so losing a shard degrades only that
+// shard's slice of the fleet, and merges the per-shard lists into one
+// ranked candidate list. Discovery never dials a node: a node is dialed
+// only to submit, and one whose dial fails is left out of placement for
+// CacheTTL.
 // With a Gossiper attached, placement survives losing every shard:
 // candidates are then served from gossip-learned availability digests.
 type Broker struct {
 	Client *Client
 	// CacheTTL bounds how stale a shard's last-known-good node list may be
-	// and still serve placements during a registry partition (default 30 s).
+	// and still serve placements during a registry partition, and how long
+	// a node whose dial failed is left out of placement (default 30 s).
 	CacheTTL time.Duration
 	// MaxRounds caps placement rounds per job: one round is one ranked
 	// pass over the candidates (default 8).
 	MaxRounds int
 	// RoundDelay paces consecutive rounds (default 50 ms).
 	RoundDelay time.Duration
-	// DiscoverLimit, when positive, requests each shard's ranked
-	// discovery form (up to that many alive nodes per shard, best
-	// availability classes first) and ranks candidates from the digest
-	// states those lists carry, querying Info only for nodes that never
-	// reported a digest. Zero keeps the legacy single-registry behavior:
-	// full listings and one Info round trip per alive node.
+	// DiscoverLimit bounds each shard's ranked discovery list: up to that
+	// many alive S1/S2 nodes per shard, best first (default 32).
 	DiscoverLimit int
 	// DiscoverConcurrency bounds how many shards are listed in parallel
 	// during one discovery (default 4).
@@ -77,9 +77,10 @@ type Broker struct {
 	met    *brokerMetrics
 	metObs *obs.Registry // the registry met was built against
 
-	mu       sync.Mutex
-	cache    map[string]shardCache // per shard address
-	breakers map[string]*breaker   // per shard address, nil entries never created when disabled
+	mu         sync.Mutex
+	cache      map[string]shardCache // per shard address
+	breakers   map[string]*breaker   // per shard address, nil entries never created when disabled
+	dialFailed map[string]time.Time  // node address -> time its dial last failed
 }
 
 // shardCache is one shard's last-known-good node list.
@@ -103,8 +104,9 @@ type BrokerMetrics struct {
 	// GossipServes counts candidate lists served from the gossip store
 	// with every registry shard unreachable.
 	GossipServes int
-	// InfoFailures counts alive-listed nodes whose Info query failed.
-	InfoFailures int
+	// DialFailures counts submissions whose connect to the node failed;
+	// each leaves that node out of placement for CacheTTL.
+	DialFailures int
 	// Failovers counts submissions moved to the next candidate after a
 	// transport failure.
 	Failovers int
@@ -125,22 +127,9 @@ type BrokerMetrics struct {
 	BreakerShortCircuits int
 }
 
-// NewBroker builds a broker over a single registry.
-func NewBroker(registryAddr string) *Broker {
-	return &Broker{Client: &Client{RegistryAddr: registryAddr}}
-}
-
-// NewShardedBroker builds a shard-aware broker over the given registry
-// shards, using their ranked discovery form with the given per-shard
-// candidate limit (<= 0 uses 32).
-func NewShardedBroker(shards []string, limit int) *Broker {
-	if limit <= 0 {
-		limit = 32
-	}
-	return &Broker{
-		Client:        &Client{Shards: append([]string(nil), shards...)},
-		DiscoverLimit: limit,
-	}
+// NewBroker builds a broker over the given registry shards.
+func NewBroker(shards ...string) *Broker {
+	return &Broker{Client: &Client{Shards: shards}}
 }
 
 // metrics returns the broker's counter set, creating it (and, if needed, a
@@ -180,7 +169,7 @@ func (b *Broker) Metrics() BrokerMetrics {
 		RegistryErrors:  int(m.registryErrors.Value()),
 		ShardErrors:     int(m.shardErrors.Value()),
 		GossipServes:    int(m.gossipServes.Value()),
-		InfoFailures:    int(m.infoFailures.Value()),
+		DialFailures:    int(m.dialFailures.Value()),
 		Failovers:       int(m.failovers.Value()),
 		SameNodeRetries: int(m.sameNodeRetries.Value()),
 		Resubmissions:   int(m.resubmissions.Value()),
@@ -238,6 +227,13 @@ func (b *Broker) roundDelay() time.Duration {
 	return b.RoundDelay
 }
 
+func (b *Broker) discoverLimit() int {
+	if b.DiscoverLimit <= 0 {
+		return 32
+	}
+	return b.DiscoverLimit
+}
+
 func (b *Broker) discoverConcurrency() int {
 	if b.DiscoverConcurrency <= 0 {
 		return 4
@@ -274,33 +270,13 @@ func rankState(state string) int {
 	}
 }
 
-// listOneShard fetches one shard's node list in the configured discovery
-// form (ranked when DiscoverLimit > 0, full legacy listing otherwise),
-// already filtered to alive nodes.
-func (b *Broker) listOneShard(ctx context.Context, addr string) ([]NodeInfo, error) {
-	nodes, err := b.Client.ListShard(ctx, addr, b.DiscoverLimit)
-	if err != nil {
-		return nil, err
-	}
-	if b.DiscoverLimit > 0 {
-		return nodes, nil // ranked form is alive-only already
-	}
-	alive := nodes[:0]
-	for _, n := range nodes {
-		if n.Alive {
-			alive = append(alive, n)
-		}
-	}
-	return alive, nil
-}
-
 // discover fans discovery out across every shard, degrading per shard to
 // that shard's cached last-known-good list (within CacheTTL) and, when no
 // shard yields anything, to the gossip store. The stale return is true
 // when any candidate came from a fallback path.
 func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 	m := b.metrics()
-	addrs := b.Client.ShardAddrs()
+	addrs := b.Client.Shards
 	type shardResult struct {
 		nodes []NodeInfo
 		err   error
@@ -324,7 +300,7 @@ func (b *Broker) discover(ctx context.Context) ([]NodeInfo, bool, error) {
 				results[i] = shardResult{err: errBreakerOpen}
 				return
 			}
-			nodes, err := b.listOneShard(ctx, addr)
+			nodes, err := b.Client.ListShard(ctx, addr, b.discoverLimit())
 			if br != nil && br.result(err == nil) {
 				m.breakerOpens.Inc()
 				b.logger().Log(ctx, slog.LevelWarn, "shard circuit breaker opened",
@@ -401,7 +377,9 @@ func candidatesFromGossip(digests []NodeDigest, now time.Time, ttl time.Duration
 // best-first. During registry partitions it falls back per shard to the
 // last-known-good node list (within CacheTTL), and with every shard down
 // to gossip-learned digests, so a broker keeps placing jobs on previously
-// discovered resources through a full control-plane outage.
+// discovered resources through a full control-plane outage. Nodes whose
+// digest cannot host a guest, and nodes whose dial failed within
+// CacheTTL, are left out.
 func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 	m := b.metrics()
 	start := time.Now()
@@ -411,35 +389,17 @@ func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 		return nil, err
 	}
 	var out []Candidate
+	b.mu.Lock()
 	for _, n := range nodes {
-		// Ranked discovery carries digest states; trust them and skip the
-		// per-node Info round trip — the scaling win that makes fan-out
-		// discovery over 100k-node shards affordable. Legacy mode (and
-		// digest-less nodes in ranked mode) keeps the live Info query.
-		if b.DiscoverLimit > 0 && n.State != "" {
-			score := rankState(n.State)
-			if score < 0 {
-				continue
-			}
-			out = append(out, Candidate{Node: n, State: n.State, Score: score, Stale: stale})
+		score := rankState(n.State)
+		if score < 0 || b.dialFailedLocked(n.Addr, start) {
 			continue
 		}
-		st, err := b.Client.Info(ctx, n.Addr)
-		if err != nil {
-			// Unreachable despite a fresh heartbeat (or a stale cache
-			// entry that died during the partition): skip.
-			m.infoFailures.Inc()
-			continue
-		}
-		score := rankState(st.State)
-		if score < 0 {
-			continue
-		}
-		out = append(out, Candidate{Node: n, State: st.State, Score: score, Stale: stale})
+		out = append(out, Candidate{Node: n, State: n.State, Score: score, Stale: stale})
 	}
+	b.mu.Unlock()
 	// Stable selection sort by (score, load, name); candidate lists are
-	// bounded by shards x DiscoverLimit. Load is zero throughout legacy
-	// discovery, so the legacy order (score, name) is unchanged.
+	// bounded by shards x DiscoverLimit.
 	for i := 0; i < len(out); i++ {
 		best := i
 		for j := i + 1; j < len(out); j++ {
@@ -450,6 +410,17 @@ func (b *Broker) Candidates(ctx context.Context) ([]Candidate, error) {
 		out[i], out[best] = out[best], out[i]
 	}
 	return out, nil
+}
+
+// dialFailedLocked reports whether addr failed a dial within CacheTTL of
+// now, forgetting failures that have aged out. The caller holds b.mu.
+func (b *Broker) dialFailedLocked(addr string, now time.Time) bool {
+	at, ok := b.dialFailed[addr]
+	if ok && now.Sub(at) > b.cacheTTL() {
+		delete(b.dialFailed, addr)
+		return false
+	}
+	return ok
 }
 
 func candidateLess(a, b Candidate) bool {
@@ -463,14 +434,27 @@ func candidateLess(a, b Candidate) bool {
 }
 
 // submitOnce sends one submission, with a single dedup-safe retry on the
-// same node: a transport error leaves the job's fate unknown (the node may
-// have finished it and lost the response mid-stream), and because nodes
-// cache completed job IDs the retry either returns that cached result or
-// establishes that the node is gone.
+// same node: a transport error after connect leaves the job's fate
+// unknown (the node may have finished it and lost the response
+// mid-stream), and because nodes cache completed job IDs the retry either
+// returns that cached result or establishes that the node is gone. A
+// failed dial needs no retry — the job never left — and leaves the node
+// out of placement for CacheTTL, so a blackholed address costs one
+// Client.Timeout per CacheTTL rather than one per placement.
 func (b *Broker) submitOnce(ctx context.Context, addr string, job JobSpec) (*JobResult, error) {
 	res, err := b.Client.Submit(ctx, addr, job)
 	if err == nil {
 		return res, nil
+	}
+	if isDialError(err) {
+		b.metrics().dialFailures.Inc()
+		b.mu.Lock()
+		if b.dialFailed == nil {
+			b.dialFailed = make(map[string]time.Time)
+		}
+		b.dialFailed[addr] = time.Now()
+		b.mu.Unlock()
+		return nil, err
 	}
 	if ctx.Err() != nil {
 		return nil, err
@@ -491,7 +475,7 @@ func (b *Broker) SubmitBest(ctx context.Context, job JobSpec) (*JobResult, NodeI
 		job.ID = fmt.Sprintf("%s#%d", job.Name, b.jobSeq.Add(1))
 	}
 	// The job ID doubles as its trace ID: every exchange of this placement
-	// (discovery, info queries, submissions, retries) is stamped with it on
+	// (discovery, submissions, retries) is stamped with it on
 	// the wire, so logs on the broker, registry and nodes correlate.
 	if TraceIDFrom(ctx) == "" {
 		ctx = WithTraceID(ctx, job.ID)

@@ -7,22 +7,27 @@ import (
 
 func TestBrokerPicksLeastLoadedNode(t *testing.T) {
 	reg := startRegistry(t, time.Second)
-	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddr: reg.Addr(), HostLoad: 0.05})
-	busy := startNode(t, NodeConfig{Name: "busy", RegistryAddr: reg.Addr(), HostLoad: 0.45})
-	_ = busy
-	over := startNode(t, NodeConfig{Name: "over", RegistryAddr: reg.Addr(), HostLoad: 0.95})
-	_ = over
+	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
+	busy := startNode(t, NodeConfig{Name: "busy", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.45})
+	over := startNode(t, NodeConfig{Name: "over", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.95})
 
 	b := NewBroker(reg.Addr())
-	// Let the overloaded node's detector see a few samples so its state
-	// reflects the sustained load (info advances the machine per call).
+	// Let each node's detector see a few samples so its state reflects
+	// the sustained load (info advances the machine per call), then wait
+	// for the heartbeats that carry those states to the registry.
 	c := &Client{}
+	last := map[*Node]*NodeStatus{}
 	for i := 0; i < 15; i++ {
-		if _, err := c.Info(ctx, over.Addr()); err != nil {
-			t.Fatal(err)
+		for _, n := range []*Node{over, busy, idle} {
+			st, err := c.Info(ctx, n.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			last[n] = st
 		}
-		c.Info(ctx, busy.Addr())
-		c.Info(ctx, idle.Addr())
+	}
+	for n, st := range last {
+		awaitDigest(t, reg, n.cfg.Name, st)
 	}
 
 	cands, err := b.Candidates(ctx)

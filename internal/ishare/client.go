@@ -16,18 +16,17 @@ import (
 // once per call — failover and resubmission belong to the Broker, which
 // knows how to do them without running a job twice.
 type Client struct {
-	// RegistryAddr is the registry's dial address (single-registry
-	// deployments, or the bootstrap address for FetchShardMap).
-	RegistryAddr string
-	// Shards lists every registry shard of a scaled-out deployment. When
-	// set it takes precedence over RegistryAddr: List fans out over all
-	// shards and merges, and shard-routed operations hash node IDs over
-	// this list. Populate it directly or from FetchShardMap.
+	// Shards lists every registry shard; a single registry is a one-entry
+	// list. List fans out over all shards and merges, and shard-routed
+	// operations hash node IDs over this list. Populate it directly or
+	// from FetchShardMap.
 	Shards []string
-	// Timeout bounds each request attempt (default 3 s).
+	// Timeout bounds each request attempt, and the connect of every
+	// attempt, submissions included (default 3 s).
 	Timeout time.Duration
-	// SubmitTimeout bounds a submission attempt (default 30 s; jobs run
-	// in virtual time, so this is slack, not job length).
+	// SubmitTimeout bounds a submission's exchange once connected
+	// (default 30 s; jobs run in virtual time, so this is slack, not job
+	// length).
 	SubmitTimeout time.Duration
 	// Dialer overrides the TCP dial path (nil = plain TCP). Fault
 	// injectors hook in here.
@@ -119,7 +118,7 @@ func (c *Client) do(ctx context.Context, addr string, req Request, timeout time.
 				break
 			}
 		}
-		resp, err := roundTrip(ctx, c.Dialer, addr, req, timeout, c.Limits.withDefaults().MaxMessageBytes)
+		resp, err := roundTrip(ctx, c.Dialer, addr, req, c.timeout(), timeout, c.Limits.withDefaults().MaxMessageBytes)
 		if err == nil {
 			if !resp.OK && resp.RetryAfterMS > 0 && idempotent && a+1 < attempts {
 				shedResp = resp
@@ -147,13 +146,12 @@ func (c *Client) do(ctx context.Context, addr string, req Request, timeout time.
 	return nil, lastErr
 }
 
-// ShardAddrs returns the registry addresses this client talks to: the
-// configured Shards, or the single RegistryAddr.
-func (c *Client) ShardAddrs() []string {
-	if len(c.Shards) > 0 {
-		return append([]string(nil), c.Shards...)
+// firstShard resolves an empty registry address to the first shard.
+func (c *Client) firstShard(addr string) string {
+	if addr == "" && len(c.Shards) > 0 {
+		return c.Shards[0]
 	}
-	return []string{c.RegistryAddr}
+	return addr
 }
 
 // List returns the published nodes across every configured shard, sorted
@@ -161,7 +159,7 @@ func (c *Client) ShardAddrs() []string {
 // with per-shard stale fallback is the Broker's job.
 func (c *Client) List(ctx context.Context) ([]NodeInfo, error) {
 	var all []NodeInfo
-	for _, addr := range c.ShardAddrs() {
+	for _, addr := range c.Shards {
 		nodes, err := c.ListShard(ctx, addr, 0)
 		if err != nil {
 			return nil, err
@@ -173,9 +171,9 @@ func (c *Client) List(ctx context.Context) ([]NodeInfo, error) {
 }
 
 // ListShard lists one registry shard. A positive limit requests the
-// shard's ranked discovery form: up to limit alive nodes from the best
-// availability classes, digest states included; zero returns every
-// registered node, dead ones included (the legacy full listing).
+// shard's ranked discovery form: up to limit alive S1/S2 nodes, best
+// first, digest states included; zero returns every registered node,
+// dead ones included.
 func (c *Client) ListShard(ctx context.Context, addr string, limit int) ([]NodeInfo, error) {
 	resp, err := c.do(ctx, addr, Request{Op: "list", Limit: limit}, c.timeout(), true)
 	if err != nil {
@@ -187,16 +185,13 @@ func (c *Client) ListShard(ctx context.Context, addr string, limit int) ([]NodeI
 	return resp.Nodes, nil
 }
 
-// Forecast asks one registry shard (RegistryAddr when addr is empty) for
+// Forecast asks one registry shard (the first when addr is empty) for
 // availability forecasts over the given horizon, one ForecastInfo per
 // name in request order. The registry must have been started with
 // RegistryOptions.Forecast; otherwise the call fails.
 func (c *Client) Forecast(ctx context.Context, addr string, names []string, horizon time.Duration) ([]ForecastInfo, error) {
-	if addr == "" {
-		addr = c.RegistryAddr
-	}
 	req := Request{Op: "forecast", Names: names, HorizonMS: horizon.Milliseconds()}
-	resp, err := c.do(ctx, addr, req, c.timeout(), true)
+	resp, err := c.do(ctx, c.firstShard(addr), req, c.timeout(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -207,13 +202,11 @@ func (c *Client) Forecast(ctx context.Context, addr string, names []string, hori
 }
 
 // FetchShardMap bootstraps the shard list from any one registry address:
-// it asks addr (RegistryAddr when empty) for the deployment's versioned
-// shard map. The caller decides whether to adopt it into c.Shards.
+// it asks addr (the first shard when empty) for the deployment's
+// versioned shard map. The caller decides whether to adopt it into
+// c.Shards.
 func (c *Client) FetchShardMap(ctx context.Context, addr string) (*ShardMap, error) {
-	if addr == "" {
-		addr = c.RegistryAddr
-	}
-	resp, err := c.do(ctx, addr, Request{Op: "shardmap"}, c.timeout(), true)
+	resp, err := c.do(ctx, c.firstShard(addr), Request{Op: "shardmap"}, c.timeout(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -282,9 +275,9 @@ func (c *Client) Info(ctx context.Context, nodeAddr string) (*NodeStatus, error)
 
 // Submit sends a guest job to a node and waits for its fate. The node
 // simulates the job in virtual time, so the call returns promptly even for
-// hour-long jobs. Submit does not retry: a transport error leaves the
-// job's fate unknown, and only an ID-carrying resubmission (see Broker)
-// can resolve that safely.
+// hour-long jobs. Submit does not retry: a transport error after connect
+// leaves the job's fate unknown, and only an ID-carrying resubmission
+// (see Broker) can resolve that safely.
 func (c *Client) Submit(ctx context.Context, nodeAddr string, job JobSpec) (*JobResult, error) {
 	resp, err := c.do(ctx, nodeAddr, Request{Op: "submit", Job: &job}, c.submitTimeout(), false)
 	if err != nil {

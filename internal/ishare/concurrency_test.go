@@ -1,6 +1,7 @@
 package ishare
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -55,4 +56,36 @@ func TestConcurrentInfoAndSubmit(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	<-done
+}
+
+// TestConcurrentPlacementsPastDeadNode races placements that all meet the
+// same dead node (run with -race): each completes on the live node, and
+// once the failed dial is recorded, discovery leaves the dead node out.
+func TestConcurrentPlacementsPastDeadNode(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	startNode(t, NodeConfig{Name: "live", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
+	dead := startNode(t, NodeConfig{Name: "dead", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
+	dead.Close()
+
+	b := &Broker{Client: fastClient(reg.Addr()), CacheTTL: time.Minute}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			_, onNode, err := b.SubmitBest(ctx, JobSpec{Name: fmt.Sprintf("j%d", w), CPUSeconds: 10})
+			if err != nil || onNode.Name != "live" {
+				t.Errorf("worker %d: placed on %q, err %v; want live", w, onNode.Name, err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if m := b.Metrics(); m.DialFailures < 1 || m.DialFailures > workers {
+		t.Errorf("metrics = %+v, want 1..%d dial failures", m, workers)
+	}
+	cands, err := b.Candidates(ctx)
+	if err != nil || len(cands) != 1 || cands[0].Node.Name != "live" {
+		t.Fatalf("candidates = %+v, %v; want only live", cands, err)
+	}
 }

@@ -30,8 +30,8 @@ func TestServeConnRejectsMalformedJSON(t *testing.T) {
 
 func TestRoundTripFailures(t *testing.T) {
 	// Nothing listening.
-	if _, err := roundTrip(context.Background(), nil, "127.0.0.1:1", Request{Op: "list"}, 200*time.Millisecond, 0); err == nil {
-		t.Error("dial to dead address succeeded")
+	if _, err := roundTrip(context.Background(), nil, "127.0.0.1:1", Request{Op: "list"}, 200*time.Millisecond, 200*time.Millisecond, 0); !isDialError(err) {
+		t.Errorf("dial to dead address: err = %v, want a dial error", err)
 	}
 	// Server that accepts then closes without responding.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -48,22 +48,22 @@ func TestRoundTripFailures(t *testing.T) {
 			c.Close()
 		}
 	}()
-	if _, err := roundTrip(context.Background(), nil, ln.Addr().String(), Request{Op: "list"}, 300*time.Millisecond, 0); err == nil {
-		t.Error("silent server should produce an error")
+	if _, err := roundTrip(context.Background(), nil, ln.Addr().String(), Request{Op: "list"}, 300*time.Millisecond, 300*time.Millisecond, 0); err == nil || isDialError(err) {
+		t.Errorf("silent server: err = %v, want an exchange error after connect", err)
 	}
 }
 
 func TestNodeWithUnreachableRegistry(t *testing.T) {
 	if _, err := NewNode("127.0.0.1:0", NodeConfig{
-		Name:         "orphan",
-		RegistryAddr: "127.0.0.1:1",
+		Name:          "orphan",
+		RegistryAddrs: []string{"127.0.0.1:1"},
 	}); err == nil {
 		t.Error("node should fail to start when registration fails")
 	}
 }
 
 func TestClientErrorsPropagate(t *testing.T) {
-	c := &Client{RegistryAddr: "127.0.0.1:1", Timeout: 200 * time.Millisecond}
+	c := &Client{Shards: []string{"127.0.0.1:1"}, Timeout: 200 * time.Millisecond}
 	if _, err := c.List(ctx); err == nil {
 		t.Error("list against dead registry succeeded")
 	}

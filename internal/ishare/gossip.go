@@ -260,7 +260,7 @@ func (g *Gossiper) HandleRequest(req Request) *Response {
 // Exchange performs one push-pull round with the peer at addr.
 func (g *Gossiper) Exchange(ctx context.Context, addr string) error {
 	lim := g.cfg.Limits.withDefaults()
-	resp, err := roundTrip(ctx, g.cfg.Dialer, addr, Request{Op: "gossip", Digests: g.digests()}, g.cfg.Timeout, lim.MaxMessageBytes)
+	resp, err := roundTrip(ctx, g.cfg.Dialer, addr, Request{Op: "gossip", Digests: g.digests()}, g.cfg.Timeout, g.cfg.Timeout, lim.MaxMessageBytes)
 	if err != nil {
 		if g.met != nil {
 			g.met.failures.Inc()

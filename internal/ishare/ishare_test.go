@@ -2,10 +2,12 @@ package ishare
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/simos"
 )
 
@@ -31,11 +33,30 @@ func startNode(t *testing.T, cfg NodeConfig) *Node {
 	return n
 }
 
+// awaitDigest waits until reg lists the named node with the state and
+// host load of its last Info report: node states reach the registry only
+// through heartbeat digests.
+func awaitDigest(t *testing.T, reg *Registry, name string, st *NodeStatus) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		for _, n := range reg.handle(Request{Op: "list"}).Nodes {
+			if n.Name == name && n.State == st.State && n.Load == st.HostCPU {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("registry never saw %s's digest %s load %v", name, st.State, st.HostCPU)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestRegistryLifecycle(t *testing.T) {
 	reg := startRegistry(t, 200*time.Millisecond)
-	c := &Client{RegistryAddr: reg.Addr()}
+	c := &Client{Shards: []string{reg.Addr()}}
 
-	node := startNode(t, NodeConfig{Name: "alpha", RegistryAddr: reg.Addr()})
+	node := startNode(t, NodeConfig{Name: "alpha", RegistryAddrs: []string{reg.Addr()}})
 	_ = node
 
 	nodes, err := c.List(ctx)
@@ -54,8 +75,8 @@ func TestRegistryLifecycle(t *testing.T) {
 
 func TestRegistryDetectsURR(t *testing.T) {
 	reg := startRegistry(t, 150*time.Millisecond)
-	c := &Client{RegistryAddr: reg.Addr()}
-	node := startNode(t, NodeConfig{Name: "beta", RegistryAddr: reg.Addr(), HeartbeatEvery: 30 * time.Millisecond})
+	c := &Client{Shards: []string{reg.Addr()}}
+	node := startNode(t, NodeConfig{Name: "beta", RegistryAddrs: []string{reg.Addr()}, HeartbeatEvery: 30 * time.Millisecond})
 
 	// Alive while heartbeating.
 	nodes, err := c.List(ctx)
@@ -84,17 +105,72 @@ func TestRegistryDetectsURR(t *testing.T) {
 
 func TestRegistryRejectsBadRequests(t *testing.T) {
 	reg := startRegistry(t, time.Second)
-	if resp := reg.handle(Request{Op: "register"}); resp.OK {
+	if resp := reg.handle(Request{Op: "register_batch", Digests: []NodeDigest{{Addr: "10.0.0.1:70"}}}); resp.OK {
 		t.Error("register without name accepted")
 	}
-	if resp := reg.handle(Request{Op: "heartbeat", Name: "ghost"}); resp.OK {
-		t.Error("heartbeat for unknown node accepted")
+	if resp := reg.handle(Request{Op: "heartbeat_batch", Digests: []NodeDigest{{Name: "ghost"}}}); !resp.OK ||
+		len(resp.Missing) != 1 || resp.Missing[0] != "ghost" {
+		t.Errorf("heartbeat for unknown node = %+v, want it reported missing", resp)
 	}
 	if resp := reg.handle(Request{Op: "dance"}); resp.OK {
 		t.Error("unknown op accepted")
 	}
 	if resp := reg.handle(Request{Op: "unregister", Name: "ghost"}); !resp.OK {
 		t.Error("unregister should be idempotent")
+	}
+}
+
+// TestRegistryDropsSingleOps pins the removal of the single-op register
+// and heartbeat: both are unknown ops now, and neither changes state.
+func TestRegistryDropsSingleOps(t *testing.T) {
+	reg := startRegistry(t, time.Minute)
+	if resp := reg.handle(Request{Op: "register_batch", Digests: testFleetDigests(3, 1000)}); !resp.OK {
+		t.Fatalf("register_batch: %s", resp.Error)
+	}
+	want := registryStateSnapshot(reg)
+	for _, raw := range []string{
+		`{"op":"register","name":"m009","addr":"10.0.0.9:70","state":"S1(full)","gen":1}`,
+		`{"op":"heartbeat","name":"m000","state":"S3(cpu-unavail)","gen":9}`,
+	} {
+		req, err := decodeRequest([]byte(raw), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := reg.handle(req); resp.OK || !strings.Contains(resp.Error, "unknown op") {
+			t.Errorf("%s answered %+v, want unknown op", raw, resp)
+		}
+	}
+	if got := registryStateSnapshot(reg); !reflect.DeepEqual(got, want) {
+		t.Errorf("removed ops changed state:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestNodeReRegistersAfterEmptyRestart: a registry that restarts without
+// a WAL has forgotten every node; the node's next heartbeat_batch comes
+// back with its name in Missing, and the node re-registers.
+func TestNodeReRegistersAfterEmptyRestart(t *testing.T) {
+	s := startSharded(t, 1, time.Minute)
+	node := startNode(t, NodeConfig{Name: "phoenix", RegistryAddrs: s.Addrs(),
+		HeartbeatEvery: 20 * time.Millisecond, Metrics: obs.NewRegistry()})
+	if err := s.CrashShard(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RestartShard(0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		nodes := s.Shard(0).handle(Request{Op: "list"}).Nodes
+		if len(nodes) == 1 && nodes[0].Name == "phoenix" && nodes[0].Alive {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node never re-registered: %+v", nodes)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := node.met.reregisters.Value(); got == 0 {
+		t.Error("node reappeared without a Missing-driven re-registration")
 	}
 }
 

@@ -56,7 +56,7 @@ type brokerMetrics struct {
 	registryErrors  *obs.Counter
 	shardErrors     *obs.Counter
 	gossipServes    *obs.Counter
-	infoFailures    *obs.Counter
+	dialFailures    *obs.Counter
 	failovers       *obs.Counter
 	sameNodeRetries *obs.Counter
 	resubmissions   *obs.Counter
@@ -75,7 +75,7 @@ func newBrokerMetrics(r *obs.Registry) *brokerMetrics {
 		registryErrors:  r.Counter("fgcs_broker_registry_errors_total", "discovery attempts that failed with no usable cache on any shard"),
 		shardErrors:     r.Counter("fgcs_broker_shard_errors_total", "individual shard list calls that failed during fan-out discovery"),
 		gossipServes:    r.Counter("fgcs_broker_gossip_serves_total", "candidate lists served from the gossip store with every registry shard unreachable"),
-		infoFailures:    r.Counter("fgcs_broker_info_failures_total", "alive-listed nodes whose Info query failed"),
+		dialFailures:    r.Counter("fgcs_broker_dial_failures_total", "submissions whose connect to the node failed, leaving it out of placement for the cache TTL"),
 		failovers:       r.Counter("fgcs_broker_failovers_total", "submissions moved to the next candidate after a transport failure"),
 		sameNodeRetries: r.Counter("fgcs_broker_same_node_retries_total", "dedup-safe immediate retries on the same node after a dropped response"),
 		resubmissions:   r.Counter("fgcs_broker_resubmissions_total", "jobs resubmitted from a checkpoint after being killed or timing out"),
@@ -198,7 +198,7 @@ func newRegistryMetrics(r *obs.Registry) *registryMetrics {
 		forecastLatency: r.Histogram("fgcs_registry_forecast_latency_seconds",
 			"wall-clock latency of one forecast exchange's computation", obs.ExpBuckets(1e-6, 4, 12)),
 	}
-	for _, op := range []string{"register", "register_batch", "unregister", "heartbeat", "heartbeat_batch", "list", "shardmap", "forecast", "unknown"} {
+	for _, op := range []string{"register_batch", "unregister", "heartbeat_batch", "list", "shardmap", "forecast", "unknown"} {
 		m.requests[op] = r.Counter("fgcs_registry_requests_total", "registry exchanges by operation", obs.L("op", op))
 	}
 	return m

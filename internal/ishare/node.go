@@ -32,12 +32,10 @@ type NodeConfig struct {
 	// as the host workload instead of a flat duty cycle; HostLoad is then
 	// ignored.
 	InteractiveHost bool
-	// RegistryAddr, when set, makes the node register and heartbeat.
-	RegistryAddr string
-	// RegistryAddrs lists the shards of a scaled-out registry; the node
-	// routes its registration and heartbeats to the shard owning its name
-	// on the consistent-hash ring. When set it takes precedence over
-	// RegistryAddr.
+	// RegistryAddrs, when set, makes the node register and heartbeat. It
+	// lists the registry shards (a single registry is a one-entry list);
+	// the node routes its registration and heartbeats to the shard owning
+	// its name on the consistent-hash ring.
 	RegistryAddrs []string
 	// HeartbeatEvery is the wall-clock heartbeat interval.
 	HeartbeatEvery time.Duration
@@ -101,9 +99,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.HeartbeatJitter < 0 {
 		c.HeartbeatJitter = 0
 	}
-	if len(c.RegistryAddrs) > 0 {
-		c.RegistryAddr = "" // shard routing owns registry traffic
-	}
 	if c.MaxJobVirtual == 0 {
 		c.MaxJobVirtual = 24 * time.Hour
 	}
@@ -116,7 +111,7 @@ type Node struct {
 	cfg    NodeConfig
 	met    *nodeMetrics // nil when NodeConfig.Metrics is nil
 	log    *slog.Logger
-	ring   *ShardRing // nil for single-registry deployments
+	ring   *ShardRing // nil when the node publishes to no registry
 	gossip *Gossiper  // nil unless NodeConfig.Gossip is set
 	hbRand *rand.Rand // heartbeat jitter source, seeded by the node name
 
@@ -204,7 +199,7 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 	n.wg.Add(1)
 	go n.acceptLoop()
 
-	if n.hasRegistry() {
+	if n.ring != nil {
 		if err := n.register(); err != nil {
 			n.Close()
 			return nil, err
@@ -213,20 +208,6 @@ func NewNode(addr string, cfg NodeConfig) (*Node, error) {
 		go n.heartbeatLoop()
 	}
 	return n, nil
-}
-
-// hasRegistry reports whether the node was configured to publish itself.
-func (n *Node) hasRegistry() bool {
-	return n.cfg.RegistryAddr != "" || n.ring != nil
-}
-
-// registryAddr resolves where this node's registry traffic goes: the ring
-// shard owning its name, or the single configured registry.
-func (n *Node) registryAddr() string {
-	if n.ring != nil {
-		return n.ring.Addr(n.cfg.Name)
-	}
-	return n.cfg.RegistryAddr
 }
 
 // Gossiper returns the node's gossip store (nil unless enabled).
@@ -289,23 +270,16 @@ func (n *Node) ExecutionCounts() map[string]int {
 	return out
 }
 
-// rpc sends one registry-bound request through the node's dialer to the
-// shard owning this node's name.
-func (n *Node) rpc(req Request, timeout time.Duration) (*Response, error) {
+// rpc sends the node's current availability digest, as a batch of one,
+// through the node's dialer to the shard owning this node's name.
+func (n *Node) rpc(op string, timeout time.Duration) (*Response, error) {
 	lim := n.cfg.Limits.withDefaults()
-	return roundTrip(context.Background(), n.cfg.Dialer, n.registryAddr(), req, timeout, lim.MaxMessageBytes)
-}
-
-// digestFields stamps the node's current availability digest onto a
-// registry-bound request so discovery can rank it without an Info query.
-func (n *Node) digestFields(req Request) Request {
-	d := n.selfDigest()
-	req.State, req.Load, req.Gen = d.State, d.Load, d.Gen
-	return req
+	req := Request{Op: op, Digests: []NodeDigest{n.selfDigest()}}
+	return roundTrip(context.Background(), n.cfg.Dialer, n.ring.Addr(n.cfg.Name), req, timeout, timeout, lim.MaxMessageBytes)
 }
 
 func (n *Node) register() error {
-	resp, err := n.rpc(n.digestFields(Request{Op: "register", Name: n.cfg.Name, Addr: n.Addr()}), 2*time.Second)
+	resp, err := n.rpc("register_batch", 2*time.Second)
 	if err != nil {
 		return err
 	}
@@ -349,23 +323,11 @@ func (n *Node) heartbeatLoop() {
 			return
 		case <-timer.C:
 		}
-		resp, err := n.rpc(n.digestFields(Request{Op: "heartbeat", Name: n.cfg.Name}), time.Second)
+		resp, err := n.rpc("heartbeat_batch", time.Second)
 		switch {
-		case err != nil:
-			fails++
-			if n.met != nil {
-				n.met.heartbeatFailures.Inc()
-			}
-		case !resp.OK && resp.RetryAfterMS > 0:
-			// The registry shed us under overload. Re-registering now would
-			// add to the very herd the registry is trying to absorb; back
-			// off at least as long as the hint and heartbeat again.
-			fails++
-			shedFloor = time.Duration(resp.RetryAfterMS) * time.Millisecond
-			if n.met != nil {
-				n.met.heartbeatFailures.Inc()
-			}
-		case !resp.OK:
+		case err == nil && resp.OK && len(resp.Missing) == 0:
+			fails = 0
+		case err == nil && resp.OK:
 			// The registry answered but has forgotten us: re-register.
 			if err := n.register(); err != nil {
 				fails++
@@ -380,7 +342,16 @@ func (n *Node) heartbeatLoop() {
 				n.log.Info("re-registered after registry forgot node")
 			}
 		default:
-			fails = 0
+			fails++
+			if n.met != nil {
+				n.met.heartbeatFailures.Inc()
+			}
+			if err == nil && resp.RetryAfterMS > 0 {
+				// The registry shed us under overload. Re-registering now
+				// would add to the very herd the registry is trying to
+				// absorb; back off at least as long as the hint.
+				shedFloor = time.Duration(resp.RetryAfterMS) * time.Millisecond
+			}
 		}
 		next := interval
 		if fails > 0 {

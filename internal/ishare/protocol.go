@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -27,28 +28,18 @@ import (
 
 // Request is the single message type clients and nodes send.
 type Request struct {
-	// Op selects the action: "register", "unregister", "heartbeat",
-	// "register_batch", "heartbeat_batch", "list", "shardmap", "forecast"
-	// (registry); "info", "submit", "sethost", "gossip" (node).
+	// Op selects the action: "register_batch", "heartbeat_batch",
+	// "unregister", "list", "shardmap", "forecast" (registry); "info",
+	// "submit", "sethost", "gossip" (node).
 	Op string `json:"op"`
-	// Name identifies a node (register/unregister/heartbeat).
+	// Name identifies a node (unregister).
 	Name string `json:"name,omitempty"`
-	// Addr is the node's dial address (register).
-	Addr string `json:"addr,omitempty"`
 	// Job carries a submission (submit).
 	Job *JobSpec `json:"job,omitempty"`
 	// HostLoad sets the node's synthetic host load (sethost).
 	HostLoad float64 `json:"host_load,omitempty"`
 	// HostMemMB sets the node's synthetic host memory (sethost).
 	HostMemMB int64 `json:"host_mem_mb,omitempty"`
-	// State, Load and Gen are the availability digest a register or
-	// heartbeat may carry (see NodeDigest); a registry that receives them
-	// serves state-ranked discovery without per-node Info round trips.
-	// Absent fields leave the stored digest untouched, so old nodes keep
-	// working against new registries.
-	State string  `json:"state,omitempty"`
-	Load  float64 `json:"load,omitempty"`
-	Gen   int64   `json:"gen,omitempty"`
 	// Digests carries a batch of node states: the whole batch for
 	// register_batch and heartbeat_batch, the sender's view for gossip.
 	Digests []NodeDigest `json:"digests,omitempty"`
@@ -57,9 +48,9 @@ type Request struct {
 	// HorizonMS is how far ahead, in wall milliseconds, a forecast
 	// request looks (forecast).
 	HorizonMS int64 `json:"horizon_ms,omitempty"`
-	// Limit bounds a list response to the best Limit available nodes,
-	// ranked by digest state (S1 before S2 before unknown). Zero keeps the
-	// legacy behavior: every registered node, dead ones included.
+	// Limit bounds a list response to the best Limit alive nodes, ranked
+	// by digest state (S1 before S2). Zero lists every registered node,
+	// dead ones included.
 	Limit int `json:"limit,omitempty"`
 	// Trace correlates this exchange with the logical operation (usually a
 	// job placement) it belongs to: the client stamps the context's trace
@@ -131,8 +122,8 @@ type NodeInfo struct {
 	// LastSeenMS is the wall-clock time of the last heartbeat.
 	LastSeenMS int64 `json:"last_seen_ms"`
 	// State, Load and Gen echo the node's last reported availability
-	// digest. State is empty for nodes that never reported one (legacy
-	// agents); a broker falls back to a per-node Info query for those.
+	// digest. State is empty for a node registered without one; ranked
+	// discovery never returns such a node.
 	State string  `json:"state,omitempty"`
 	Load  float64 `json:"load,omitempty"`
 	Gen   int64   `json:"gen,omitempty"`
@@ -261,27 +252,44 @@ func decodeResponse(data []byte, maxBytes int64) (Response, error) {
 	return resp, nil
 }
 
-// roundTrip dials addr through d, sends one request and reads one bounded
-// response. The per-attempt timeout is clamped to the context deadline, so
-// a caller-imposed budget bounds the whole exchange.
-func roundTrip(ctx context.Context, d Dialer, addr string, req Request, timeout time.Duration, maxBytes int64) (*Response, error) {
+// dialError marks a failure to connect: the request never left, so the
+// peer cannot have acted on it.
+type dialError struct {
+	addr string
+	err  error
+}
+
+func (e *dialError) Error() string { return fmt.Sprintf("ishare: dialing %s: %v", e.addr, e.err) }
+func (e *dialError) Unwrap() error { return e.err }
+
+// isDialError reports whether err is a connect failure from roundTrip.
+func isDialError(err error) bool {
+	var de *dialError
+	return errors.As(err, &de)
+}
+
+// roundTrip dials addr through d within dialTimeout, then sends one
+// request and reads one bounded response within timeout. Both bounds are
+// clamped to the context deadline, so a caller-imposed budget bounds the
+// whole exchange, and a dead peer costs dialTimeout however long the
+// exchange itself may take.
+func roundTrip(ctx context.Context, d Dialer, addr string, req Request, dialTimeout, timeout time.Duration, maxBytes int64) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < timeout {
-			timeout = rem
-		}
+		rem := time.Until(dl)
+		dialTimeout, timeout = min(dialTimeout, rem), min(timeout, rem)
 	}
-	if timeout <= 0 {
+	if dialTimeout <= 0 || timeout <= 0 {
 		return nil, fmt.Errorf("ishare: no time left for %q to %s: %w", req.Op, addr, context.DeadlineExceeded)
 	}
 	if maxBytes <= 0 {
 		maxBytes = Limits{}.withDefaults().MaxMessageBytes
 	}
-	conn, err := dialerOrDefault(d).Dial(addr, timeout)
+	conn, err := dialerOrDefault(d).Dial(addr, dialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("ishare: dialing %s: %w", addr, err)
+		return nil, &dialError{addr: addr, err: err}
 	}
 	defer conn.Close()
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {

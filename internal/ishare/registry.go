@@ -17,12 +17,12 @@ import (
 // heartbeat; clients list published resources. A node whose heartbeats
 // stop for longer than the TTL is reported dead — the URR signal.
 //
-// At fleet scale a registry is one shard of the control plane: node IDs
-// are assigned to shards by a ShardRing, every shard serves the same
-// versioned ShardMap for bootstrap, and registrations and heartbeats may
-// arrive in batches carrying availability digests. Discovery with a
-// Limit is served from per-score buckets — S1 nodes, then S2, then nodes
-// with no digest — so a ranked candidate list costs O(limit), not a scan
+// A registry is one shard of the control plane (a single registry is a
+// one-shard ring): node IDs are assigned to shards by a ShardRing, every
+// shard serves the same versioned ShardMap for bootstrap, and
+// registrations and heartbeats arrive in batches carrying availability
+// digests. Discovery with a Limit is served from per-score buckets — S1
+// nodes, then S2 — so a ranked candidate list costs O(limit), not a scan
 // of every registered node.
 //
 // A registry configured with a WAL is crash-recoverable: every mutating
@@ -41,9 +41,9 @@ type Registry struct {
 	mu    sync.RWMutex
 	nodes map[string]*registryEntry
 	// buckets index alive-or-not entries by digest score (see digestScore):
-	// 0 = S1, 1 = S2, 2 = no digest, 3 = unavailable (S3–S5). Ranked
-	// discovery walks buckets 0..2 and stops at Limit.
-	buckets  [4]map[string]*registryEntry
+	// 0 = S1, 1 = S2, 2 = cannot host a guest. Ranked discovery walks
+	// buckets 0 and 1 and stops at Limit.
+	buckets  [3]map[string]*registryEntry
 	shardMap *ShardMap
 	met      *registryMetrics // nil until Instrument
 	log      *slog.Logger     // nil until Instrument
@@ -141,18 +141,13 @@ func (o RegistryOptions) withDefaults() RegistryOptions {
 }
 
 // digestScore buckets a reported state for ranked discovery: S1 hosts
-// guests at full speed, S2 at lowest priority, an empty state means the
-// node never reported a digest (a legacy agent the broker must Info-query)
-// and anything else cannot host a guest at all.
+// guests at full speed, S2 at lowest priority, and anything else — a
+// failure state, or no digest at all — cannot host a guest.
 func digestScore(state string) int {
-	switch s := rankState(state); {
-	case s >= 0:
+	if s := rankState(state); s >= 0 {
 		return s
-	case state == "":
-		return 2
-	default:
-		return 3
 	}
+	return 2
 }
 
 // NewRegistry starts a registry listening on addr (use "127.0.0.1:0" for
@@ -599,27 +594,6 @@ func (r *Registry) handle(req Request) *Response {
 		met.request(req.Op)
 	}
 	switch req.Op {
-	case "register":
-		if req.Name == "" || req.Addr == "" {
-			return &Response{OK: false, Error: "register requires name and addr"}
-		}
-		now := r.now()
-		d := NodeDigest{Name: req.Name, Addr: req.Addr, State: req.State, Load: req.Load, Gen: req.Gen}
-		r.mu.Lock()
-		r.upsertLocked(d, now)
-		err := r.walUpsertLocked([]NodeDigest{d}, now)
-		n := len(r.nodes)
-		r.mu.Unlock()
-		if err != nil {
-			return errWALAppend
-		}
-		if met != nil {
-			met.nodes.Set(float64(n))
-		}
-		if log != nil {
-			log.Info("node registered", "trace", req.Trace, "name", req.Name, "addr", req.Addr)
-		}
-		return &Response{OK: true}
 	case "register_batch":
 		for _, d := range req.Digests {
 			if d.Name == "" || d.Addr == "" {
@@ -656,33 +630,6 @@ func (r *Registry) handle(req Request) *Response {
 		}
 		if log != nil {
 			log.Info("node unregistered", "trace", req.Trace, "name", req.Name)
-		}
-		return &Response{OK: true}
-	case "heartbeat":
-		now := r.now()
-		d := NodeDigest{Name: req.Name, State: req.State, Load: req.Load, Gen: req.Gen}
-		r.mu.Lock()
-		_, ok := r.nodes[req.Name]
-		var err error
-		if ok {
-			if r.upsertLocked(d, now) {
-				err = r.walUpsertLocked([]NodeDigest{d}, now)
-			} else {
-				err = r.walRefreshLocked([]string{d.Name}, now)
-			}
-		}
-		r.mu.Unlock()
-		if !ok {
-			if met != nil {
-				met.unknownHB.Inc()
-			}
-			if log != nil {
-				log.Warn("heartbeat from unknown node", "name", req.Name)
-			}
-			return &Response{OK: false, Error: "unknown node " + req.Name}
-		}
-		if err != nil {
-			return errWALAppend
 		}
 		return &Response{OK: true}
 	case "heartbeat_batch":
@@ -803,8 +750,8 @@ func (r *Registry) handle(req Request) *Response {
 }
 
 // listRanked serves discovery: up to limit alive nodes from the best
-// available score buckets. It walks S1, then S2, then digest-less entries
-// and stops as soon as limit candidates are found, so its cost is bounded
+// available score buckets. It walks S1, then S2, and stops as soon as
+// limit candidates are found, so its cost is bounded
 // by the limit (plus dead entries skipped along the way), not by the
 // shard's total population — the property that keeps discovery flat as a
 // shard grows to hundreds of thousands of nodes. Within one bucket the
@@ -816,7 +763,7 @@ func (r *Registry) listRanked(limit int) *Response {
 	now := r.now()
 	nodes := make([]NodeInfo, 0, limit)
 	r.mu.RLock()
-	for score := 0; score <= 2 && len(nodes) < limit; score++ {
+	for score := 0; score <= 1 && len(nodes) < limit; score++ {
 		for _, e := range r.buckets[score] {
 			if now.Sub(e.lastSeen) > r.ttl {
 				continue

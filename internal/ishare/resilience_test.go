@@ -12,59 +12,72 @@ import (
 // tight retry budget (refused dials fail instantly anyway).
 func fastClient(registryAddr string) *Client {
 	return &Client{
-		RegistryAddr: registryAddr,
-		Timeout:      500 * time.Millisecond,
-		Retry:        RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1},
+		Shards:  []string{registryAddr},
+		Timeout: 500 * time.Millisecond,
+		Retry:   RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1},
 	}
 }
 
-func TestCandidatesSkipsNodesWithFailingInfo(t *testing.T) {
+func TestCandidatesSkipsNodesWithFailingDial(t *testing.T) {
 	// Long TTL: the closed node stays "alive" in the registry, so the
-	// broker must discover its death from the failing Info call.
+	// broker must discover its death from the failing dial.
 	reg := startRegistry(t, time.Minute)
-	live := startNode(t, NodeConfig{Name: "live", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	live := startNode(t, NodeConfig{Name: "live", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	_ = live
-	dead, err := NewNode("127.0.0.1:0", NodeConfig{Name: "dead", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	dead, err := NewNode("127.0.0.1:0", NodeConfig{Name: "dead", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead.Close()
 
-	b := &Broker{Client: fastClient(reg.Addr())}
+	b := &Broker{Client: fastClient(reg.Addr()), CacheTTL: time.Minute}
 	cands, err := b.Candidates(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands) != 1 || cands[0].Node.Name != "live" {
-		t.Fatalf("candidates = %+v, want only live", cands)
+	if len(cands) != 2 || cands[0].Node.Name != "dead" {
+		t.Fatalf("candidates = %+v, want dead ranked first (by name), then live", cands)
 	}
-	if m := b.Metrics(); m.InfoFailures == 0 {
-		t.Errorf("metrics = %+v, want InfoFailures > 0", m)
+	// The placement dials dead, fails over without a same-node retry,
+	// and completes on live.
+	_, onNode, err := b.SubmitBest(ctx, JobSpec{Name: "j", CPUSeconds: 10})
+	if err != nil || onNode.Name != "live" {
+		t.Fatalf("placement = %s, %v, want live", onNode.Name, err)
+	}
+	if m := b.Metrics(); m.DialFailures != 1 || m.SameNodeRetries != 0 {
+		t.Errorf("metrics = %+v, want one dial failure and no same-node retry", m)
+	}
+	cands, err = b.Candidates(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 1 || cands[0].Node.Name != "live" {
+		t.Fatalf("candidates after the failed dial = %+v, want only live", cands)
 	}
 }
 
 func TestCandidatesExcludesFailureStateNodes(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	idle := startNode(t, NodeConfig{Name: "idle", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	_ = idle
-	hot := startNode(t, NodeConfig{Name: "hot", RegistryAddr: reg.Addr(), HostLoad: 0.95})
+	hot := startNode(t, NodeConfig{Name: "hot", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.95})
 	c := &Client{}
 	// Pump the hot node's detector past the transient window so it
-	// latches S3.
-	var latched bool
-	for i := 0; i < 25; i++ {
+	// latches S3, then wait for a heartbeat to carry that to the registry.
+	var latched *NodeStatus
+	for i := 0; i < 25 && latched == nil; i++ {
 		st, err := c.Info(ctx, hot.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if strings.HasPrefix(st.State, "S3") {
-			latched = true
-			break
+			latched = st
 		}
 	}
-	if !latched {
+	if latched == nil {
 		t.Fatal("hot node never latched S3")
 	}
+	awaitDigest(t, reg, "hot", latched)
 	b := &Broker{Client: fastClient(reg.Addr())}
 	cands, err := b.Candidates(ctx)
 	if err != nil {
@@ -102,7 +115,7 @@ func TestRankStateEdgeCases(t *testing.T) {
 
 func TestBrokerServesStaleCacheDuringRegistryOutage(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	node := startNode(t, NodeConfig{Name: "survivor", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	node := startNode(t, NodeConfig{Name: "survivor", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	_ = node
 
 	b := &Broker{Client: fastClient(reg.Addr()), CacheTTL: time.Minute}
@@ -135,7 +148,7 @@ func TestBrokerServesStaleCacheDuringRegistryOutage(t *testing.T) {
 
 func TestBrokerStaleCacheRespectsBound(t *testing.T) {
 	reg := startRegistry(t, time.Minute)
-	node := startNode(t, NodeConfig{Name: "n", RegistryAddr: reg.Addr(), HostLoad: 0.05})
+	node := startNode(t, NodeConfig{Name: "n", RegistryAddrs: []string{reg.Addr()}, HostLoad: 0.05})
 	_ = node
 	b := &Broker{Client: fastClient(reg.Addr()), CacheTTL: time.Millisecond}
 	if _, err := b.Candidates(ctx); err != nil {
@@ -248,12 +261,12 @@ func TestNodeCrashAtVirtualTime(t *testing.T) {
 
 func TestHeartbeatReRegistersAfterRegistryForgets(t *testing.T) {
 	reg := startRegistry(t, 300*time.Millisecond)
-	node := startNode(t, NodeConfig{Name: "phoenix", RegistryAddr: reg.Addr(), HeartbeatEvery: 20 * time.Millisecond})
+	node := startNode(t, NodeConfig{Name: "phoenix", RegistryAddrs: []string{reg.Addr()}, HeartbeatEvery: 20 * time.Millisecond})
 	_ = node
-	c := &Client{RegistryAddr: reg.Addr()}
+	c := &Client{Shards: []string{reg.Addr()}}
 
 	// The registry loses the node (restart, operator error): heartbeats
-	// start failing with "unknown node" and the node must re-register.
+	// start reporting it missing and the node must re-register.
 	reg.handle(Request{Op: "unregister", Name: "phoenix"})
 	deadline := time.Now().Add(3 * time.Second)
 	for {
@@ -282,7 +295,7 @@ func TestServeConnRejectsOversizedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	big := Request{Op: "register", Name: strings.Repeat("x", 4096), Addr: "127.0.0.1:1"}
+	big := Request{Op: "register_batch", Digests: []NodeDigest{{Name: strings.Repeat("x", 4096), Addr: "127.0.0.1:1"}}}
 	if err := json.NewEncoder(conn).Encode(big); err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +355,10 @@ func TestClientBoundsResponseSize(t *testing.T) {
 		}
 	}()
 	c := &Client{
-		RegistryAddr: ln.Addr().String(),
-		Timeout:      time.Second,
-		Retry:        RetryPolicy{MaxAttempts: 1},
-		Limits:       Limits{MaxMessageBytes: 1024},
+		Shards:  []string{ln.Addr().String()},
+		Timeout: time.Second,
+		Retry:   RetryPolicy{MaxAttempts: 1},
+		Limits:  Limits{MaxMessageBytes: 1024},
 	}
 	_, err = c.List(ctx)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {

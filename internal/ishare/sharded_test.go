@@ -63,7 +63,7 @@ func TestRegisterBatchAndRankedList(t *testing.T) {
 		t.Fatalf("limit=1 list = %+v, %v", top, err)
 	}
 
-	// The legacy full listing still returns everything, S5 included.
+	// The full listing returns everything, S5 included.
 	all, err := c.ListShard(ctx, reg.Addr(), 0)
 	if err != nil || len(all) != 4 {
 		t.Fatalf("full list = %+v, %v", all, err)
@@ -115,9 +115,11 @@ func TestShardMapBootstrap(t *testing.T) {
 	if m.Gen != 1 || len(m.Shards) != 3 {
 		t.Fatalf("shard map = %+v", m)
 	}
+	// Once adopted, an empty address means the first shard.
 	c.Shards = m.Shards
-	if got := len(c.ShardAddrs()); got != 3 {
-		t.Fatalf("ShardAddrs = %d, want 3", got)
+	again, err := c.FetchShardMap(ctx, "")
+	if err != nil || again.Gen != m.Gen {
+		t.Fatalf("shard map via the first shard = %+v, %v", again, err)
 	}
 }
 
@@ -184,8 +186,8 @@ func TestShardedBrokerMergesRankedCandidates(t *testing.T) {
 	if len(cands) != 12 {
 		t.Fatalf("got %d candidates, want 12", len(cands))
 	}
-	// Digest ranking: no Info round trips were possible (the addresses are
-	// fake), and the order is S1 before S2, ascending load within a class.
+	// Digest ranking: no node is dialed (the addresses are fake), and the
+	// order is S1 before S2, ascending load within a class.
 	for i := 1; i < len(cands); i++ {
 		if cands[i-1].Score > cands[i].Score {
 			t.Fatalf("candidates unsorted by score at %d: %+v", i, cands)
@@ -194,7 +196,7 @@ func TestShardedBrokerMergesRankedCandidates(t *testing.T) {
 			t.Fatalf("candidates unsorted by load at %d: %+v", i, cands)
 		}
 	}
-	if m := b.Metrics(); m.InfoFailures != 0 {
+	if m := b.Metrics(); m.DialFailures != 0 {
 		t.Fatalf("digest-ranked discovery dialed nodes: %+v", m)
 	}
 }
@@ -346,7 +348,7 @@ func TestBrokerPlacesViaGossipWithAllShardsDown(t *testing.T) {
 	addr := reg.Addr()
 	reg.Close() // every shard down, nothing ever cached
 	b := &Broker{
-		Client: &Client{RegistryAddr: addr, Timeout: 300 * time.Millisecond,
+		Client: &Client{Shards: []string{addr}, Timeout: 300 * time.Millisecond,
 			Retry: RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: 1}},
 		DiscoverLimit: 8,
 		Gossip:        g,

@@ -5,7 +5,8 @@ set -eux
 
 go vet ./...
 go build ./...
-go test ./...
+# A hung test fails fast instead of after the 10-minute default.
+go test -timeout 3m ./...
 go test -race ./internal/ishare/ ./internal/testbed/ ./internal/contention/ \
     ./internal/trace/ ./internal/chaos/ ./internal/availability/ ./internal/check/ \
     ./internal/forecast/ ./internal/loadgen/ ./internal/markov/
