@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel metrics-smoke bench bench-gates ci
+.PHONY: all vet build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel metrics-smoke bench bench-gates perfbench-smoke ci
 
 all: ci
 
@@ -104,9 +104,17 @@ bench-gates:
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
+# Repository-benchmark smoke. perfbench is a Go module of its own, so the
+# root `go test ./...` never builds it: run its seeded-defect self-test,
+# then every workload for one second in both modes, each required to be
+# correct and to emit exactly BENCHMARK.json's metrics with their units.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	python3 perfbench/run.py --smoke
+
 # Full core benchmarks, written to BENCH_core.json. Includes the
 # observability gates: instrumented-run overhead and byte-identical output.
 bench:
 	$(GO) run ./cmd/fgcs-bench -out BENCH_core.json
 
-ci: vet build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel bench-gates metrics-smoke
+ci: vet build test race check fuzz-smoke chaos-smoke chaos-crash-soak loadtest-smoke forecast-smoke markov-smoke bench-smoke bench-parallel bench-gates metrics-smoke perfbench-smoke

@@ -281,12 +281,34 @@ type Result struct {
 // The same (trace, cfg) pair presents an identical job stream to every
 // policy, so results are directly comparable.
 func Simulate(tr *trace.Trace, policy Policy, cfg Config) (Result, error) {
-	return simulateIndexed(tr, tr.BuildIndex(), policy, cfg)
+	return replay(tr, tr.BuildIndex(), policy, cfg, nil, policy.Name())
 }
 
-// simulateIndexed is Simulate against a prebuilt index, so Compare can
-// amortize one index build across every policy.
-func simulateIndexed(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config) (Result, error) {
+// job is one guest job of the stream and, while it runs, its state.
+type job struct {
+	arrival sim.Time
+	work    time.Duration
+	now     sim.Time        // the job's clock
+	m       trace.MachineID // the machine it runs on
+	done    time.Duration   // progress no failure has taken back
+	ckpt    time.Duration   // progress pinned by the last review checkpoint
+}
+
+// review is the optional placement review of the replay loop. A reviewed
+// job runs in chunks of every; after each chunk it survives, act may pin
+// its progress (j.ckpt = j.done), move it (j.m) and charge the cost of
+// either to j.now. Without a review (nil) a job runs its whole remaining
+// work as one chunk, which is Simulate.
+type review struct {
+	every time.Duration
+	act   func(j *job, res *Result)
+}
+
+// replay is the one job-replay loop behind Simulate, Compare,
+// SimulateMigrating and SimulateProactive: it draws the job stream, runs
+// every job in arrival order (so a stateful policy learns from failures in
+// the order they happen) and tallies the Result under label.
+func replay(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config, rv *review, label string) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -298,10 +320,6 @@ func simulateIndexed(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config
 	jobRNG := sim.NewSource(cfg.Seed).Stream("gsched/jobs")
 
 	// Pre-draw the job stream so every policy sees the same jobs.
-	type job struct {
-		arrival sim.Time
-		work    time.Duration
-	}
 	jobs := make([]job, cfg.Jobs)
 	for i := range jobs {
 		jobs[i] = job{
@@ -311,11 +329,11 @@ func simulateIndexed(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config
 	}
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].arrival < jobs[j].arrival })
 
-	res := Result{Policy: policy.Name()}
+	res := Result{Policy: label}
 	var responses []float64
 	var slowdowns []float64
-	for _, jb := range jobs {
-		stat := runJob(ix, policy, cfg, tr.Machines, tr.Span.End, jb.arrival, jb.work, &res)
+	for i := range jobs {
+		stat := runJob(ix, policy, cfg, rv, tr.Machines, tr.Span.End, &jobs[i], &res)
 		if !stat.Done {
 			res.Unfinished++
 			continue
@@ -333,52 +351,79 @@ func simulateIndexed(tr *trace.Trace, ix *trace.Index, policy Policy, cfg Config
 	return res, nil
 }
 
-// runJob executes one job to completion or span end.
-func runJob(ix *trace.Index, policy Policy, cfg Config, machines int, spanEnd sim.Time, arrival sim.Time, work time.Duration, res *Result) JobStat {
-	stat := JobStat{Arrival: arrival, Work: work}
-	remaining := work
-	now := arrival
-	for {
-		if now >= spanEnd {
-			return stat
+// runJob executes one job to completion or span end. A failure rolls the
+// job's progress back to its furthest checkpoint — the periodic cadence's
+// or one a review pinned, whichever kept more; a surviving chunk is NOT an
+// implicit checkpoint — and the job is placed again once the outage has
+// cleared, unless that is already past span end.
+func runJob(ix *trace.Index, policy Policy, cfg Config, rv *review, machines int, spanEnd sim.Time, j *job, res *Result) JobStat {
+	stat := JobStat{Arrival: j.arrival, Work: j.work}
+	j.now = j.arrival
+	placed := false
+	for j.now < spanEnd {
+		if !placed {
+			j.m = policy.Pick(j.now, j.work-j.done, machines)
+			placed = true
 		}
-		m := policy.Pick(now, remaining, machines)
-		ev, overlaps := ix.FirstOverlap(m, sim.Window{Start: now, End: now + remaining})
+		chunk := j.work - j.done
+		if rv != nil && rv.every < chunk {
+			chunk = rv.every
+		}
+		ev, overlaps := ix.FirstOverlap(j.m, sim.Window{Start: j.now, End: j.now + chunk})
 		if !overlaps {
-			if now+remaining > spanEnd {
+			j.now += chunk
+			j.done += chunk
+			if j.done == j.work {
+				if j.now <= spanEnd {
+					stat.Completion = j.now
+					stat.Done = true
+				}
 				return stat
 			}
-			stat.Completion = now + remaining
-			stat.Done = true
-			return stat
+			rv.act(j, res) // only a review cuts a job into chunks
+			continue
 		}
 		// The job dies when the event begins (or immediately, if the
 		// machine is already unavailable).
-		failAt := ev.Start
-		if failAt < now {
-			failAt = now
-		}
-		done := failAt - now
+		failAt := max(ev.Start, j.now)
+		j.done += failAt - j.now
+		var periodic time.Duration
 		if cfg.Checkpoint > 0 {
-			kept := (done / cfg.Checkpoint) * cfg.Checkpoint
-			remaining -= kept
-			res.WastedWork += done - kept
-		} else {
-			res.WastedWork += done
+			periodic = (j.done / cfg.Checkpoint) * cfg.Checkpoint
 		}
+		kept := max(periodic, j.ckpt)
+		res.WastedWork += j.done - kept
+		res.SavedWork += kept - periodic
+		j.done = kept
 		stat.Failures++
-		policy.ObserveFailure(m, failAt)
+		policy.ObserveFailure(j.m, failAt)
 		// Restart after the outage clears plus the retry delay. Other
 		// machines may be free sooner, but the failure must be noticed
 		// and the job resubmitted, which the delay models.
-		now = failAt + cfg.RetryDelay
-		if ev.End > now {
+		j.now = failAt + cfg.RetryDelay
+		if ev.End > j.now {
 			// If the policy insists on the same machine it would fail
 			// instantly; advancing past the event keeps the comparison
 			// fair for the oblivious policies too.
-			now = ev.End + cfg.RetryDelay
+			j.now = ev.End + cfg.RetryDelay
 		}
+		placed = false
 	}
+	return stat
+}
+
+// moveIfSafer migrates j to best, charging delay, when best's survival
+// forecast beats the current machine's by a strict gain of at least
+// margin. An undefined (NaN) forecast for the current machine must not pin
+// the job there forever — NaN fails every comparison — so any defined
+// forecast beats it; an undefined best never wins.
+func (j *job) moveIfSafer(best trace.MachineID, bestS, cur, margin float64, delay time.Duration) bool {
+	if best == j.m || math.IsNaN(bestS) || !(math.IsNaN(cur) || (bestS > cur && bestS-cur >= margin)) {
+		return false
+	}
+	j.m = best
+	j.now += delay
+	return true
 }
 
 // Compare runs every policy against the same trace and job stream. The
@@ -387,7 +432,7 @@ func Compare(tr *trace.Trace, policies []Policy, cfg Config) ([]Result, error) {
 	ix := tr.BuildIndex()
 	var out []Result
 	for _, p := range policies {
-		r, err := simulateIndexed(tr, ix, p, cfg)
+		r, err := replay(tr, ix, p, cfg, nil, p.Name())
 		if err != nil {
 			return nil, err
 		}

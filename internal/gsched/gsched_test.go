@@ -216,3 +216,78 @@ func TestMinResponsePolicyAvoidsHostileMachine(t *testing.T) {
 		t.Errorf("min-response %v should beat round-robin %v", res.MeanResponse, rr.MeanResponse)
 	}
 }
+
+// constSurvival estimates the same survival for every machine and window,
+// so no review ever finds a safer machine or a forecast below its floor.
+type constSurvival float64
+
+func (c constSurvival) Survival(sim.Time, time.Duration, trace.MachineID) float64 {
+	return float64(c)
+}
+
+// countPicks counts its policy's placements.
+type countPicks struct {
+	Policy
+	n int
+}
+
+func (c *countPicks) Pick(now sim.Time, work time.Duration, n int) trace.MachineID {
+	c.n++
+	return c.Policy.Pick(now, work, n)
+}
+
+// TestNeverActingReviewsMatchSimulate pins that the reviewed replays are
+// Simulate plus their actions and nothing else: reviews that never
+// migrate or checkpoint must reproduce Simulate's result exactly, for
+// stateful policies too. That takes running jobs in arrival order and
+// placing a job again only while the span lasts; on the default testbed
+// seed a failure does push one least-recently-failed job past span end.
+func TestNeverActingReviewsMatchSimulate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testbed simulation")
+	}
+	tbc := testbed.DefaultConfig()
+	tbc.Machines, tbc.Days = 8, 35
+	tr, err := testbed.Run(tbc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := constSurvival(0.5)
+	mig := DefaultMigrationConfig()
+	mig.Margin = 1
+	pro := DefaultProactiveConfig()
+	pro.SurvivalFloor = 0
+	for _, ckpt := range []time.Duration{0, 45 * time.Minute} {
+		cfg := Config{TrainDays: 14, Checkpoint: ckpt}
+		for i := range DefaultPolicies(tr, cfg, 1) {
+			fresh := func() *countPicks { return &countPicks{Policy: DefaultPolicies(tr, cfg, 1)[i]} }
+			plain, mp, pp := fresh(), fresh(), fresh()
+			want, err := Simulate(tr, plain, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			migrating, err := SimulateMigrating(tr, mp, est, cfg, mig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proactive, err := SimulateProactive(tr, pp, est, cfg, pro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mp.n != plain.n || pp.n != plain.n {
+				t.Errorf("checkpoint %v: %s placed %d jobs, migrating %d, proactive %d", ckpt, want.Policy, plain.n, mp.n, pp.n)
+			}
+			for _, got := range []Result{migrating, proactive} {
+				if got.Completed != want.Completed || got.Unfinished != want.Unfinished ||
+					got.TotalFailures != want.TotalFailures || got.WastedWork != want.WastedWork ||
+					got.MeanResponse != want.MeanResponse || got.MedianResponse != want.MedianResponse ||
+					got.MeanSlowdown != want.MeanSlowdown {
+					t.Errorf("checkpoint %v: %s diverges from Simulate:\ngot  %+v\nwant %+v", ckpt, got.Policy, got, want)
+				}
+				if got.Migrations != 0 || got.Checkpoints != 0 || got.SavedWork != 0 {
+					t.Errorf("checkpoint %v: %s acted: %+v", ckpt, got.Policy, got)
+				}
+			}
+		}
+	}
+}

@@ -3,12 +3,10 @@ package gsched
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -88,7 +86,7 @@ type ForecastSource interface {
 }
 
 // ForecastEstimator adapts a ForecastSource to the SurvivalEstimator the
-// migrating and proactive runners consume — this is how an online
+// migrating and proactive review rules consume — this is how an online
 // forecaster plugs into SimulateProactive.
 type ForecastEstimator struct{ F ForecastSource }
 
@@ -111,15 +109,15 @@ func newProactiveMetrics(r *obs.Registry) *proactiveMetrics {
 		return nil
 	}
 	return &proactiveMetrics{
-		checkpoints: r.Counter("gsched_proactive_checkpoints_total",
+		checkpoints: r.Counter("fgcs_gsched_proactive_checkpoints_total",
 			"Forecast-triggered checkpoints written before predicted unavailability."),
-		migrations: r.Counter("gsched_proactive_migrations_total",
+		migrations: r.Counter("fgcs_gsched_proactive_migrations_total",
 			"Forecast-triggered mid-job migrations."),
-		saved: r.Gauge("gsched_proactive_saved_cpu_seconds",
+		saved: r.Gauge("fgcs_gsched_proactive_saved_cpu_seconds",
 			"Guest CPU seconds preserved by proactive checkpoints beyond the periodic cadence."),
-		wasted: r.Gauge("gsched_wasted_cpu_seconds",
+		wasted: r.Gauge("fgcs_gsched_wasted_cpu_seconds",
 			"Guest CPU seconds lost to failures (work redone)."),
-		latency: r.Histogram("gsched_forecast_latency_seconds",
+		latency: r.Histogram("fgcs_gsched_forecast_latency_seconds",
 			"Wall-clock latency of one placement review's survival forecasts.",
 			obs.ExpBuckets(1e-7, 4, 12)),
 	}
@@ -127,170 +125,61 @@ func newProactiveMetrics(r *obs.Registry) *proactiveMetrics {
 
 // SimulateProactive replays the job stream with forecast-driven
 // checkpoint/migrate reviews on top of the given policy. Placement and
-// failure rules match Simulate exactly (same pre-drawn job stream, same
+// failure rules are Simulate's own (the same replay loop, job stream and
 // ground-truth index), so its Result is directly comparable against the
 // reactive baseline's: the difference is only what the reviews save.
 func SimulateProactive(tr *trace.Trace, policy Policy, est SurvivalEstimator, cfg Config, pro ProactiveConfig) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
 	if err := pro.Validate(); err != nil {
 		return Result{}, err
 	}
-	testStart := tr.Span.Start + sim.Time(cfg.TrainDays)*sim.Day
-	if testStart >= tr.Span.End {
-		return Result{}, fmt.Errorf("gsched: training period consumes the trace span")
-	}
-	ix := tr.BuildIndex()
-	jobRNG := sim.NewSource(cfg.Seed).Stream("gsched/jobs")
-
-	type job struct {
-		arrival sim.Time
-		work    time.Duration
-	}
-	jobs := make([]job, cfg.Jobs)
-	for i := range jobs {
-		jobs[i] = job{
-			arrival: testStart + sim.Uniform(jobRNG, 0, tr.Span.End-testStart),
-			work:    sim.Uniform(jobRNG, cfg.JobWork[0], cfg.JobWork[1]),
-		}
-	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].arrival < jobs[j].arrival })
-
 	met := newProactiveMetrics(pro.Metrics)
-	res := Result{Policy: policy.Name() + "+proactive"}
-	var responses, slowdowns []float64
-	for _, jb := range jobs {
-		stat := runJobProactive(ix, policy, est, cfg, pro, met, tr.Machines, tr.Span.End, jb.arrival, jb.work, &res)
-		if !stat.Done {
-			res.Unfinished++
-			continue
+	rv := &review{every: pro.CheckEvery, act: func(j *job, res *Result) {
+		// Forecast the next horizon on the current machine.
+		horizon := min(pro.Horizon, j.work-j.done)
+		var t0 time.Time
+		if met != nil {
+			t0 = time.Now()
 		}
-		res.Completed++
-		res.TotalFailures += stat.Failures
-		responses = append(responses, float64(stat.ResponseTime()))
-		slowdowns = append(slowdowns, stat.Slowdown())
-	}
-	if len(responses) > 0 {
-		res.MeanResponse = time.Duration(stats.Mean(responses))
-		res.MedianResponse = time.Duration(stats.Median(responses))
-		res.MeanSlowdown = stats.Mean(slowdowns)
-	}
-	if met != nil {
+		cur := est.Survival(j.now, horizon, j.m)
+		danger := math.IsNaN(cur) || cur < pro.SurvivalFloor
+		best, bestS := j.m, math.NaN()
+		if danger {
+			best, bestS = pickBest(tr.Machines, func(m trace.MachineID) float64 {
+				return est.Survival(j.now, horizon, m)
+			})
+		}
+		if met != nil {
+			met.latency.Observe(time.Since(t0).Seconds())
+		}
+		if !danger {
+			return
+		}
+		// Unavailability is forecast within the horizon. First pin the
+		// job's progress with a checkpoint — it is cheap, and it bounds
+		// the loss no matter where the job runs next or how wrong the
+		// forecast turns out to be. Then additionally move the job when
+		// a clearly safer machine exists; forecasts are imperfect, and
+		// the checkpoint is what keeps a mistaken migration from
+		// costing more than MigrateDelay.
+		if j.done > j.ckpt {
+			j.ckpt = j.done
+			j.now += pro.CheckpointCost
+			res.Checkpoints++
+			if met != nil {
+				met.checkpoints.Inc()
+			}
+		}
+		if j.moveIfSafer(best, bestS, cur, pro.MigrateMargin, pro.MigrateDelay) {
+			res.Migrations++
+			if met != nil {
+				met.migrations.Inc()
+			}
+		}
+	}}
+	res, err := replay(tr, tr.BuildIndex(), policy, cfg, rv, policy.Name()+"+proactive")
+	if err == nil && met != nil {
 		met.saved.Set(res.SavedWork.Seconds())
 		met.wasted.Set(res.WastedWork.Seconds())
 	}
-	return res, nil
-}
-
-// runJobProactive executes one job with forecast reviews. Progress
-// bookkeeping extends the migrating runner's: a forecast-triggered
-// checkpoint pins the job's progress at that instant, so a later failure
-// rolls back only to max(proactive checkpoint, periodic checkpoint)
-// instead of the periodic cadence alone.
-func runJobProactive(ix *trace.Index, policy Policy, est SurvivalEstimator, cfg Config, pro ProactiveConfig, met *proactiveMetrics, machines int, spanEnd sim.Time, arrival sim.Time, work time.Duration, res *Result) JobStat {
-	stat := JobStat{Arrival: arrival, Work: work}
-	var done time.Duration // work completed since the job's last restart
-	var ckpt time.Duration // progress pinned by the last proactive checkpoint
-	now := arrival
-	m := policy.Pick(now, work, machines)
-	for {
-		if now >= spanEnd {
-			return stat
-		}
-		remaining := work - done
-		chunk := pro.CheckEvery
-		if remaining < chunk {
-			chunk = remaining
-		}
-		ev, overlaps := ix.FirstOverlap(m, sim.Window{Start: now, End: now + chunk})
-		if !overlaps {
-			now += chunk
-			done += chunk
-			if done >= work {
-				if now > spanEnd {
-					return stat
-				}
-				stat.Completion = now
-				stat.Done = true
-				return stat
-			}
-			// Review: forecast the next horizon on the current machine.
-			remaining = work - done
-			horizon := pro.Horizon
-			if remaining < horizon {
-				horizon = remaining
-			}
-			var t0 time.Time
-			if met != nil {
-				t0 = time.Now()
-			}
-			cur := est.Survival(now, horizon, m)
-			danger := math.IsNaN(cur) || cur < pro.SurvivalFloor
-			var best trace.MachineID
-			bestS := math.NaN()
-			if danger {
-				best, bestS = pickBest(machines, func(id trace.MachineID) float64 {
-					return est.Survival(now, horizon, id)
-				})
-			}
-			if met != nil {
-				met.latency.Observe(time.Since(t0).Seconds())
-			}
-			if !danger {
-				continue
-			}
-			// Unavailability is forecast within the horizon. First pin the
-			// job's progress with a checkpoint — it is cheap, and it bounds
-			// the loss no matter where the job runs next or how wrong the
-			// forecast turns out to be. Then additionally move the job when
-			// a clearly safer machine exists; forecasts are imperfect, and
-			// the checkpoint is what keeps a mistaken migration from
-			// costing more than MigrateDelay.
-			if done > ckpt {
-				ckpt = done
-				res.Checkpoints++
-				now += pro.CheckpointCost
-				if met != nil {
-					met.checkpoints.Inc()
-				}
-			}
-			if best != m && !math.IsNaN(bestS) &&
-				(math.IsNaN(cur) || bestS-cur >= pro.MigrateMargin) {
-				m = best
-				res.Migrations++
-				now += pro.MigrateDelay
-				if met != nil {
-					met.migrations.Inc()
-				}
-			}
-			continue
-		}
-		// Failure inside the chunk: roll back to the furthest checkpoint —
-		// proactive or periodic, whichever preserved more.
-		failAt := ev.Start
-		if failAt < now {
-			failAt = now
-		}
-		done += failAt - now
-		var periodic time.Duration
-		if cfg.Checkpoint > 0 {
-			periodic = (done / cfg.Checkpoint) * cfg.Checkpoint
-		}
-		kept := periodic
-		if ckpt > kept {
-			kept = ckpt
-		}
-		res.WastedWork += done - kept
-		res.SavedWork += kept - periodic
-		done = kept
-		stat.Failures++
-		policy.ObserveFailure(m, failAt)
-		now = failAt + cfg.RetryDelay
-		if ev.End > now {
-			now = ev.End + cfg.RetryDelay
-		}
-		m = policy.Pick(now, work-done, machines)
-	}
+	return res, err
 }

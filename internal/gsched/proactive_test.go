@@ -2,6 +2,7 @@ package gsched
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,8 +24,8 @@ func (s scoreTable) PredictSurvival(m trace.MachineID, _ sim.Window) float64 {
 }
 
 func (s scoreTable) PredictCount(trace.MachineID, sim.Window) float64 { return 0 }
-func (s scoreTable) Name() string                                    { return "score-table" }
-func (s scoreTable) Train(*trace.Trace)                              {}
+func (s scoreTable) Name() string                                     { return "score-table" }
+func (s scoreTable) Train(*trace.Trace)                               {}
 
 func TestPickBest(t *testing.T) {
 	nan := math.NaN()
@@ -87,9 +88,9 @@ func TestPredictiveNaNPredictor(t *testing.T) {
 // review's own decision-making.
 type pinPolicy struct{ m trace.MachineID }
 
-func (p pinPolicy) Name() string                                         { return "pin" }
-func (p pinPolicy) Pick(sim.Time, time.Duration, int) trace.MachineID    { return p.m }
-func (p pinPolicy) ObserveFailure(trace.MachineID, sim.Time)             {}
+func (p pinPolicy) Name() string                                      { return "pin" }
+func (p pinPolicy) Pick(sim.Time, time.Duration, int) trace.MachineID { return p.m }
+func (p pinPolicy) ObserveFailure(trace.MachineID, sim.Time)          {}
 
 // TestMigratingNaNDoesNotPin is the regression for the latent migrate
 // bug: when the current machine's survival estimate is NaN, every
@@ -200,11 +201,20 @@ func TestProactiveMetricsNeutral(t *testing.T) {
 	if plain != metered {
 		t.Errorf("metrics changed the result:\nplain   %+v\nmetered %+v", plain, metered)
 	}
-	if got := reg.Counter("gsched_proactive_checkpoints_total", "").Value(); got != uint64(metered.Checkpoints) {
+	if got := reg.Counter("fgcs_gsched_proactive_checkpoints_total", "").Value(); got != uint64(metered.Checkpoints) {
 		t.Errorf("checkpoint counter %d, result %d", got, metered.Checkpoints)
 	}
-	if got := reg.Histogram("gsched_forecast_latency_seconds", "", obs.ExpBuckets(1e-7, 4, 12)).Count(); got == 0 {
+	if got := reg.Histogram("fgcs_gsched_forecast_latency_seconds", "", obs.ExpBuckets(1e-7, 4, 12)).Count(); got == 0 {
 		t.Error("forecast latency histogram saw no reviews")
+	}
+	fams := reg.Snapshot()
+	if len(fams) == 0 {
+		t.Fatal("gsched registered no metric families")
+	}
+	for _, fam := range fams {
+		if !strings.HasPrefix(fam.Name, "fgcs_gsched_") {
+			t.Errorf("metric family %q breaks the fgcs_gsched_ naming scheme", fam.Name)
+		}
 	}
 }
 

@@ -42,7 +42,8 @@ type ForecastConfig struct {
 	// Proactive overrides the review knobs (zero = DefaultProactiveConfig).
 	Proactive gsched.ProactiveConfig
 	// Obs, when set, receives the proactive run's counters and forecast
-	// latency histogram (gsched_proactive_*, gsched_forecast_latency_seconds).
+	// latency histogram (fgcs_gsched_proactive_*, fgcs_gsched_wasted_cpu_seconds,
+	// fgcs_gsched_forecast_latency_seconds).
 	Obs *obs.Registry
 }
 

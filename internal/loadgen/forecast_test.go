@@ -36,9 +36,9 @@ func TestRunForecastEvaluation(t *testing.T) {
 	var sawCkpt, sawLatency bool
 	for _, fam := range reg.Snapshot() {
 		switch fam.Name {
-		case "gsched_proactive_checkpoints_total":
+		case "fgcs_gsched_proactive_checkpoints_total":
 			sawCkpt = true
-		case "gsched_forecast_latency_seconds":
+		case "fgcs_gsched_forecast_latency_seconds":
 			sawLatency = true
 		}
 	}

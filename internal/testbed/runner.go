@@ -3,8 +3,6 @@ package testbed
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/availability"
 	"repro/internal/monitor"
@@ -21,8 +19,8 @@ type Occupancy struct {
 }
 
 // Run simulates the whole testbed and returns the collected unavailability
-// trace. Machines are simulated concurrently, one goroutine each, bounded
-// by Config.Parallelism.
+// trace. Machines are simulated concurrently on a worker pool bounded by
+// Config.Parallelism.
 func Run(cfg Config) (*trace.Trace, error) {
 	tr, _, err := RunWithOccupancy(cfg)
 	return tr, err
@@ -39,12 +37,10 @@ func calendarOf(cfg Config) sim.Calendar {
 }
 
 // RunWithOccupancy is Run, additionally returning each machine's
-// state-occupancy fractions.
-//
-// Each worker writes its machine's events into a per-machine buffer (no
-// shared lock on the hot path); buffers are merged in machine order and
-// sorted once at the end, so the trace is identical regardless of
-// parallelism or goroutine completion order.
+// state-occupancy fractions. It is one shard of cfg.Machines machines
+// through runShards; the events are merged in machine order and sorted
+// once at the end, so the trace is identical regardless of parallelism or
+// goroutine completion order.
 func RunWithOccupancy(cfg Config) (*trace.Trace, []Occupancy, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -52,48 +48,13 @@ func RunWithOccupancy(cfg Config) (*trace.Trace, []Occupancy, error) {
 	}
 	tr := trace.New(spanOf(cfg), calendarOf(cfg), cfg.Machines)
 	occ := make([]Occupancy, cfg.Machines)
-	events := make([][]trace.Event, cfg.Machines)
-	errs := make([]error, cfg.Machines)
-
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > cfg.Machines {
-		workers = cfg.Machines
-	}
-
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range work {
-				evs, timing, err := runMachine(cfg, trace.MachineID(id))
-				if err != nil {
-					errs[id] = err
-					continue
-				}
-				events[id] = evs
-				occ[id] = machineOccupancy(trace.MachineID(id), timing)
-			}
-		}()
-	}
-	for id := 0; id < cfg.Machines; id++ {
-		work <- id
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, evs := range events {
-		for _, e := range evs {
-			tr.Add(e)
-		}
+	err := runShards(cfg, cfg.Machines, func(id trace.MachineID, evs []trace.Event, timing *availability.TimeInState) error {
+		tr.Events = append(tr.Events, evs...)
+		occ[id] = machineOccupancy(id, timing)
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	tr.Sort()
 	if err := tr.Validate(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/availability"
 	"repro/internal/trace"
 )
 
@@ -37,6 +38,19 @@ func RunSharded(cfg Config, shardSize int, sink EventSink) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	return runShards(cfg, shardSize, func(id trace.MachineID, evs []trace.Event, _ *availability.TimeInState) error {
+		return sink.Machine(id, evs)
+	}, sink.ShardDone)
+}
+
+// runShards is the testbed's one worker pool over runMachine, behind both
+// RunSharded and RunWithOccupancy. It simulates cfg's machines in shards
+// of shardSize (all at once when shardSize <= 0), a shard's machines
+// concurrently (bounded by cfg.Parallelism), and hands each machine's
+// events and time-in-state accounting to emit in increasing id order, then
+// calls done (when non-nil) for the shard. Only one shard's results are
+// resident at a time.
+func runShards(cfg Config, shardSize int, emit func(trace.MachineID, []trace.Event, *availability.TimeInState) error, done func(first trace.MachineID, n int) error) error {
 	if shardSize <= 0 {
 		shardSize = cfg.Machines
 	}
@@ -48,8 +62,12 @@ func RunSharded(cfg Config, shardSize int, sink EventSink) error {
 		workers = shardSize
 	}
 
-	events := make([][]trace.Event, shardSize)
-	errs := make([]error, shardSize)
+	type machine struct {
+		events []trace.Event
+		timing *availability.TimeInState
+		err    error
+	}
+	results := make([]machine, shardSize)
 	for first := 0; first < cfg.Machines; first += shardSize {
 		n := shardSize
 		if first+n > cfg.Machines {
@@ -62,8 +80,8 @@ func RunSharded(cfg Config, shardSize int, sink EventSink) error {
 			go func() {
 				defer wg.Done()
 				for i := range work {
-					evs, _, err := runMachine(cfg, trace.MachineID(first+i))
-					events[i], errs[i] = evs, err
+					r := &results[i]
+					r.events, r.timing, r.err = runMachine(cfg, trace.MachineID(first+i))
 				}
 			}()
 		}
@@ -73,18 +91,20 @@ func RunSharded(cfg Config, shardSize int, sink EventSink) error {
 		close(work)
 		wg.Wait()
 		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				return fmt.Errorf("testbed: machine %d: %w", first+i, errs[i])
+			if results[i].err != nil {
+				return fmt.Errorf("testbed: machine %d: %w", first+i, results[i].err)
 			}
 		}
 		for i := 0; i < n; i++ {
-			if err := sink.Machine(trace.MachineID(first+i), events[i]); err != nil {
+			if err := emit(trace.MachineID(first+i), results[i].events, results[i].timing); err != nil {
 				return err
 			}
-			events[i] = nil
+			results[i] = machine{}
 		}
-		if err := sink.ShardDone(trace.MachineID(first), n); err != nil {
-			return err
+		if done != nil {
+			if err := done(trace.MachineID(first), n); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

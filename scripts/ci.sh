@@ -60,3 +60,8 @@ go run ./cmd/fgcs-bench -only 'trace/|analyze/|predict/|ishare/|forecast/|markov
 # Metrics-endpoint smoke: start ishared with an ephemeral metrics port,
 # scrape /healthz and /metrics, assert the expected families.
 sh "$(dirname "$0")/metrics_smoke.sh"
+# Repository-benchmark smoke: perfbench is its own Go module, so the root
+# `go test ./...` never builds it. Seeded-defect self-test, then every
+# workload for one second in both modes against BENCHMARK.json's metrics.
+(cd perfbench && go test ./...)
+python3 perfbench/run.py --smoke
